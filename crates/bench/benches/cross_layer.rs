@@ -5,8 +5,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use saav_bench::exp_propagation::campaign;
 use saav_core::coordinator::EscalationPolicy;
+use saav_core::runner;
 use saav_core::scenario::Scenario;
-use saav_core::vehicle::SelfAwareVehicle;
 use saav_sim::time::Duration;
 
 fn bench_campaign(c: &mut Criterion) {
@@ -28,7 +28,7 @@ fn bench_assembly_step(c: &mut Criterion) {
                 .seed(1)
                 .duration(Duration::from_secs(10))
                 .build();
-            SelfAwareVehicle::run(scenario)
+            runner::run(scenario)
         })
     });
     group.finish();

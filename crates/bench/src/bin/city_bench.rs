@@ -34,7 +34,7 @@ use std::time::Instant;
 
 use saav_bench::replay::simulate_city_tick;
 use saav_core::outcome::CityOutcome;
-use saav_core::runner;
+use saav_core::runner::{self, Run};
 use saav_core::scenario::{CitySpec, Scenario};
 use saav_core::telemetry::{Counter, Telemetry};
 use saav_sim::time::Duration;
@@ -250,7 +250,7 @@ fn main() {
     });
     let sink = Telemetry::default();
     let mounted_wall_s = best_of(&|| {
-        let _ = runner::run_observed(scenario(1_000, 2, horizon_s), None, &sink);
+        let _ = Run::with_telemetry(&scenario(1_000, 2, horizon_s), &sink).run_to_end();
     });
     let obs = sink.snapshot();
     let obs_overhead = mounted_wall_s / unmounted_wall_s.max(1e-9) - 1.0;

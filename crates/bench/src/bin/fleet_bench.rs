@@ -18,7 +18,9 @@
 //!    richest). The reported makespans are therefore deterministic and
 //!    host-independent — on this single-core CI box, wall time cannot
 //!    distinguish schedulers, calibrated makespan can. Acceptance floor:
-//!    work stealing ≥ 1.3× over static chunking.
+//!    work stealing ≥ 1.3× over static chunking. A real-run cross-check
+//!    asserts that the work-stealing executor reproduces the 1-worker
+//!    inline loop's batch bit for bit.
 //! 3. **Scaling** — wall time of the skewed mix at 1..N worker threads,
 //!    informational (no gate; single-core hosts converge).
 //! 4. **Observability** — the flagship 1,000-vehicle / 2-focal city run
@@ -41,8 +43,8 @@ use std::time::Instant;
 
 use saav_bench::replay::simulate_schedule;
 use saav_core::cache::ResultCache;
-use saav_core::executor::Scheduler;
 use saav_core::fleet::FleetRunner;
+use saav_core::runner::Run;
 use saav_core::scenario::{CitySpec, ResponseStrategy, Scenario, ScenarioFamily};
 use saav_core::telemetry::{Counter, Telemetry};
 use saav_sim::time::Duration;
@@ -142,18 +144,17 @@ fn main() {
         static_makespan_s,
         steal_makespan_s,
     );
-    // Cross-check: both schedulers produce bit-identical batches.
+    // Cross-check: work stealing produces the bit-identical batch of the
+    // 1-worker inline loop.
     let steal_out = FleetRunner::new(master_seed)
         .with_threads(SCHED_WORKERS)
-        .with_scheduler(Scheduler::WorkSteal)
         .run_scenarios(skewed_jobs());
-    let static_out = FleetRunner::new(master_seed)
-        .with_threads(SCHED_WORKERS)
-        .with_scheduler(Scheduler::StaticChunk)
+    let inline_out = FleetRunner::new(master_seed)
+        .with_threads(1)
         .run_scenarios(skewed_jobs());
     assert_eq!(
-        steal_out.records, static_out.records,
-        "schedulers must not change results"
+        steal_out.records, inline_out.records,
+        "work stealing must not change results"
     );
 
     // --- phase 3: thread scaling (informational) -------------------------
@@ -202,7 +203,7 @@ fn main() {
     });
     let sink = Telemetry::default();
     let mounted_wall_s = best_of(&|| {
-        let _ = saav_core::runner::run_observed(flagship(1), None, &sink);
+        let _ = Run::with_telemetry(&flagship(1), &sink).run_to_end();
     });
     let obs_overhead = mounted_wall_s / unmounted_wall_s.max(1e-9) - 1.0;
     let obs = sink.snapshot();
@@ -222,7 +223,7 @@ fn main() {
     });
     let par_sink = Telemetry::default();
     let par_mounted_wall_s = best_of(&|| {
-        let _ = saav_core::runner::run_observed(flagship(OBS_PAR_THREADS), None, &par_sink);
+        let _ = Run::with_telemetry(&flagship(OBS_PAR_THREADS), &par_sink).run_to_end();
     });
     let par_obs_overhead = par_mounted_wall_s / par_unmounted_wall_s.max(1e-9) - 1.0;
     eprintln!(

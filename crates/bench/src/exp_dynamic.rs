@@ -22,7 +22,7 @@ use std::sync::OnceLock;
 
 use saav_core::fleet::{FleetCoordinator, FleetDirective, FleetOutcome, FleetRunner};
 use saav_core::outcome::Outcome;
-use saav_core::runner;
+use saav_core::runner::Run;
 use saav_core::scenario::{ResponseStrategy, Scenario, ScenarioFamily};
 use saav_core::telemetry::{Counter, Telemetry, TelemetrySnapshot};
 use saav_sim::report::{fmt_f64, Table};
@@ -110,7 +110,7 @@ fn without_steals(mut snap: TelemetrySnapshot) -> TelemetrySnapshot {
 
 fn observed(scenario: Scenario) -> E17Run {
     let sink = Telemetry::default();
-    let outcome = runner::run_observed(scenario, None, &sink);
+    let outcome = Run::with_telemetry(&scenario, &sink).run_to_end();
     E17Run {
         outcome,
         snapshot: without_steals(sink.snapshot()),

@@ -21,7 +21,7 @@ use std::sync::OnceLock;
 
 use saav_core::cache::ResultCache;
 use saav_core::fleet::FleetRunner;
-use saav_core::runner;
+use saav_core::runner::Run;
 use saav_core::scenario::{CitySpec, PlatoonSpec, ResponseStrategy, Scenario, ScenarioEvent};
 use saav_core::telemetry::{
     chrome_trace_json, Counter, Stage, Telemetry, TelemetryEvent, TelemetrySnapshot, TraceRecord,
@@ -97,7 +97,7 @@ fn without_steals(mut snap: TelemetrySnapshot) -> TelemetrySnapshot {
 fn observe_solo(label: &'static str, scenario: impl Fn() -> Scenario) -> E16Scenario {
     let observe = || {
         let sink = Telemetry::default();
-        runner::run_observed(scenario(), None, &sink);
+        Run::with_telemetry(&scenario(), &sink).run_to_end();
         // City scenarios may step on several intra-run threads here
         // (host-dependent), and steal counts are schedule noise even
         // between reruns at a fixed width — barrier counts are not, so

@@ -1,20 +1,17 @@
-//! The fleet's shard executor: scoped worker threads over a fixed job
-//! list, with either static chunking or work stealing.
+//! The fleet's shard executor: scoped work-stealing worker threads over
+//! a fixed job list.
 //!
-//! Both schedulers preserve the determinism contract the fleet proptests
-//! pin: results land in fixed per-job slots, so the output vector is in
-//! job order and bit-identical regardless of worker count, scheduler, or
-//! which worker happened to execute which job. Scheduling only decides
-//! *who* runs a job, never *what* the job computes — every job is seeded
-//! before execution starts.
+//! Results land in fixed per-job slots, so the output vector is in job
+//! order and bit-identical regardless of worker count or which worker
+//! happened to execute which job — the determinism contract the fleet
+//! proptests pin. Scheduling only decides *who* runs a job, never *what*
+//! the job computes: every job is seeded before execution starts.
 //!
-//! [`Scheduler::WorkSteal`] (the default) partitions the job range into
-//! one contiguous shard per worker, each with an atomic cursor. A worker
-//! drains its own shard, then repeatedly steals from the shard with the
-//! most work remaining — so a skewed mix (one 60 s city run amid 10 s
-//! solo runs) no longer leaves the other workers idle the way
-//! [`Scheduler::StaticChunk`] does. The static scheduler is kept as the
-//! measurable baseline for `fleet_bench`.
+//! The job range is partitioned into one contiguous shard per worker,
+//! each with an atomic cursor. A worker drains its own shard, then
+//! repeatedly steals from the shard with the most work remaining — so a
+//! skewed mix (one 60 s city run amid 10 s solo runs) does not leave the
+//! other workers idle.
 //!
 //! With one worker (e.g. `SAAV_THREADS=1`) no thread is spawned at all:
 //! the jobs run as a plain inline loop on the calling thread.
@@ -29,32 +26,19 @@ use std::sync::Mutex;
 
 pub use saav_sim::pool::{drain, richest, shard_range, Shard, TickPool};
 
-/// How jobs are distributed over the worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// Each worker owns one contiguous block of the job range and never
-    /// helps anyone else — cheap, but a single expensive block serializes
-    /// the batch. Kept as the benchmark baseline.
-    StaticChunk,
-    /// Block-partitioned shards with an atomic cursor each; idle workers
-    /// steal from the shard with the most jobs remaining.
-    #[default]
-    WorkSteal,
-}
-
-/// Executes `jobs` indexed jobs on `workers` threads under `scheduler`,
+/// Executes `jobs` indexed jobs on `workers` work-stealing threads,
 /// returning the results in job order. The closure receives
 /// `(job_index, worker_index)`; the worker index exists so callers (the
 /// throughput benchmark) can observe the actual job→worker assignment.
 ///
 /// `workers` is clamped to `1..=jobs`; with one worker everything runs
 /// inline on the calling thread with no spawn and no slot locking.
-pub fn run<T, F>(jobs: usize, workers: usize, scheduler: Scheduler, job: F) -> Vec<T>
+pub fn run<T, F>(jobs: usize, workers: usize, job: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, usize) -> T + Sync,
 {
-    run_counted(jobs, workers, scheduler, None, job)
+    run_counted(jobs, workers, None, job)
 }
 
 /// [`run`] with steal observability: when `steals` is provided, every job
@@ -63,15 +47,9 @@ where
 /// the hot loop touches no shared cache line). Steal counts are genuine
 /// scheduling noise — they vary run to run — which is why they surface
 /// only through this counter and never through the deterministic results.
-/// With one worker (or [`Scheduler::StaticChunk`]) nothing can be stolen
-/// and the counter is never incremented.
-pub fn run_counted<T, F>(
-    jobs: usize,
-    workers: usize,
-    scheduler: Scheduler,
-    steals: Option<&AtomicU64>,
-    job: F,
-) -> Vec<T>
+/// With one worker nothing can be stolen and the counter is never
+/// incremented.
+pub fn run_counted<T, F>(jobs: usize, workers: usize, steals: Option<&AtomicU64>, job: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, usize) -> T + Sync,
@@ -87,47 +65,32 @@ where
     let store = |i: usize, w: usize| {
         *slots[i].lock().expect("worker never panics holding a slot") = Some(job(i, w));
     };
-    match scheduler {
-        Scheduler::StaticChunk => std::thread::scope(|scope| {
-            for w in 0..workers {
-                let store = &store;
-                scope.spawn(move || {
-                    let (start, end) = shard_range(jobs, workers, w);
-                    for i in start..end {
-                        store(i, w);
+    let shards: Vec<Shard> = (0..workers)
+        .map(|w| {
+            let (start, end) = shard_range(jobs, workers, w);
+            Shard::new(start, end)
+        })
+        .collect();
+    std::thread::scope(|scope| {
+        for w in 0..workers {
+            let store = &store;
+            let shards = &shards;
+            scope.spawn(move || {
+                let mut stolen: u64 = 0;
+                drain(shards, w, |i, stole| {
+                    if stole {
+                        stolen += 1;
                     }
+                    store(i, w);
                 });
-            }
-        }),
-        Scheduler::WorkSteal => {
-            let shards: Vec<Shard> = (0..workers)
-                .map(|w| {
-                    let (start, end) = shard_range(jobs, workers, w);
-                    Shard::new(start, end)
-                })
-                .collect();
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let store = &store;
-                    let shards = &shards;
-                    scope.spawn(move || {
-                        let mut stolen: u64 = 0;
-                        drain(shards, w, |i, stole| {
-                            if stole {
-                                stolen += 1;
-                            }
-                            store(i, w);
-                        });
-                        if stolen > 0 {
-                            if let Some(counter) = steals {
-                                counter.fetch_add(stolen, Ordering::Relaxed);
-                            }
-                        }
-                    });
+                if stolen > 0 {
+                    if let Some(counter) = steals {
+                        counter.fetch_add(stolen, Ordering::Relaxed);
+                    }
                 }
             });
         }
-    }
+    });
     slots
         .into_iter()
         .map(|m| {
@@ -145,14 +108,14 @@ mod tests {
 
     #[test]
     fn empty_job_list_yields_empty_results() {
-        let out: Vec<u32> = run(0, 4, Scheduler::WorkSteal, |_, _| unreachable!());
+        let out: Vec<u32> = run(0, 4, |_, _| unreachable!());
         assert!(out.is_empty());
     }
 
     #[test]
     fn single_worker_runs_inline_on_the_caller() {
         let caller = std::thread::current().id();
-        let out = run(5, 1, Scheduler::WorkSteal, |i, w| {
+        let out = run(5, 1, |i, w| {
             assert_eq!(std::thread::current().id(), caller, "job {i} not inline");
             (i, w)
         });
@@ -160,16 +123,14 @@ mod tests {
     }
 
     #[test]
-    fn results_are_in_job_order_for_both_schedulers() {
+    fn results_are_in_job_order() {
         let expected: Vec<usize> = (0..37).map(|i| i * i).collect();
-        for scheduler in [Scheduler::StaticChunk, Scheduler::WorkSteal] {
-            for workers in [1, 2, 3, 8, 64] {
-                let out = run(37, workers, scheduler, |i, w| {
-                    assert!(w < workers.min(37), "worker index {w} out of range");
-                    i * i
-                });
-                assert_eq!(out, expected, "{scheduler:?} with {workers} workers");
-            }
+        for workers in [1, 2, 3, 8, 64] {
+            let out = run(37, workers, |i, w| {
+                assert!(w < workers.min(37), "worker index {w} out of range");
+                i * i
+            });
+            assert_eq!(out, expected, "{workers} workers");
         }
     }
 
@@ -193,7 +154,7 @@ mod tests {
         // Worker 0's shard (jobs 0..8) is slow; worker 1's (8..16) is
         // instant. Worker 1 must finish its own shard and steal — so at
         // least one slow job is executed by a worker other than 0.
-        let executed_by = run(16, 2, Scheduler::WorkSteal, |i, w| {
+        let executed_by = run(16, 2, |i, w| {
             if i < 8 {
                 std::thread::sleep(Duration::from_millis(20));
             }
@@ -203,17 +164,13 @@ mod tests {
             executed_by[..8].iter().any(|&w| w != 0),
             "no slow job was stolen: {executed_by:?}"
         );
-        // Static chunking, by contrast, pins every job to its block owner.
-        let static_by = run(16, 2, Scheduler::StaticChunk, |i, _| usize::from(i >= 8));
-        let owners = run(16, 2, Scheduler::StaticChunk, |_, w| w);
-        assert_eq!(static_by, owners);
     }
 
     #[test]
     fn steal_counter_counts_cross_shard_jobs_only() {
         // A slow front shard forces the fast worker to steal.
         let steals = AtomicU64::new(0);
-        let executed_by = run_counted(16, 2, Scheduler::WorkSteal, Some(&steals), |i, w| {
+        let executed_by = run_counted(16, 2, Some(&steals), |i, w| {
             if i < 8 {
                 std::thread::sleep(Duration::from_millis(20));
             }
@@ -226,11 +183,9 @@ mod tests {
     }
 
     #[test]
-    fn single_worker_and_static_chunk_never_steal() {
+    fn single_worker_never_steals() {
         let steals = AtomicU64::new(0);
-        run_counted(16, 1, Scheduler::WorkSteal, Some(&steals), |_, _| ());
+        run_counted(16, 1, Some(&steals), |_, _| ());
         assert_eq!(steals.load(Ordering::Relaxed), 0, "inline loop stole");
-        run_counted(16, 4, Scheduler::StaticChunk, Some(&steals), |_, _| ());
-        assert_eq!(steals.load(Ordering::Relaxed), 0, "static chunk stole");
     }
 }

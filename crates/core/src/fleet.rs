@@ -6,9 +6,8 @@
 //! engine: it expands a `families × strategies × seeds` grid (or any
 //! explicit scenario list) into jobs, derives each job's RNG seed from one
 //! master seed via [`saav_sim::rng::derive_seed`], executes the jobs on
-//! the shard executor ([`crate::executor`] — work-stealing by default,
-//! static chunking available as a baseline), and aggregates the per-run
-//! [`Summary`]s into [`FleetStats`] — collision rate, the
+//! the work-stealing shard executor ([`crate::executor`]), and aggregates
+//! the per-run [`Summary`]s into [`FleetStats`] — collision rate, the
 //! detection-latency distribution, and distance/availability per strategy.
 //!
 //! With [`FleetRunner::with_cache`], each job is first looked up by its
@@ -21,7 +20,7 @@
 //! Determinism is by construction: job order, per-job seeds and the
 //! result slots are all fixed before any worker starts, so the aggregate
 //! statistics are bit-identical whether the fleet runs on 1 thread or N,
-//! cold or warm, stolen or statically chunked (property-tested in
+//! cold or warm, whichever worker ran which job (property-tested in
 //! `tests/proptests.rs`).
 //!
 //! ```
@@ -46,11 +45,11 @@ use saav_sim::series::percentile_sorted;
 use saav_sim::time::Time;
 
 use crate::cache::{job_key, ResultCache};
-use crate::executor::{self, Scheduler};
+use crate::executor;
 use crate::outcome::Summary;
-use crate::runner;
+use crate::runner::{self, Run};
 use crate::scenario::{ResponseStrategy, Scenario, ScenarioFamily};
-use crate::telemetry::{Telemetry, TelemetryEvent, TelemetrySnapshot};
+use crate::telemetry::{RunTelemetry, Telemetry, TelemetryEvent, TelemetrySnapshot};
 
 /// Environment variable overriding the default fleet worker count, so CI
 /// smoke runs are schedulable without touching call sites. An explicit
@@ -113,10 +112,7 @@ impl FleetRecord {
     }
 
     fn latency_of(&self, detected: Option<Time>) -> Option<f64> {
-        detected.map(|det| {
-            let injected = self.injected_at.unwrap_or(Time::ZERO);
-            det.saturating_since(injected).as_secs_f64()
-        })
+        runner::latency_s(self.injected_at, detected)
     }
 }
 
@@ -354,12 +350,11 @@ pub struct FleetOutcome {
 ///
 /// The runner owns seeding: every job's scenario seed is replaced by
 /// `derive_seed(master_seed, job_index)`, so a batch is reproducible from
-/// the master seed alone and independent of thread count and scheduler.
+/// the master seed alone and independent of thread count.
 #[derive(Debug, Clone)]
 pub struct FleetRunner {
     master_seed: u64,
     threads: usize,
-    scheduler: Scheduler,
     cache: Option<ResultCache>,
     model: Option<Arc<SelfAwarenessModel>>,
     telemetry: Option<Telemetry>,
@@ -367,13 +362,12 @@ pub struct FleetRunner {
 
 impl FleetRunner {
     /// Creates a fleet runner with [`default_threads`] workers (the
-    /// `SAAV_THREADS` environment override, else all available cores),
-    /// the work-stealing scheduler and no cache.
+    /// `SAAV_THREADS` environment override, else all available cores)
+    /// and no cache.
     pub fn new(master_seed: u64) -> Self {
         FleetRunner {
             master_seed,
             threads: default_threads(),
-            scheduler: Scheduler::default(),
             cache: None,
             model: None,
             telemetry: None,
@@ -389,13 +383,6 @@ impl FleetRunner {
     /// [`Self::run_scenarios`]'s executor) instead of multiplying.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Overrides the job scheduler (work-stealing by default; static
-    /// chunking exists as the measurable baseline).
-    pub fn with_scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -431,11 +418,6 @@ impl FleetRunner {
     /// The configured worker count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The configured job scheduler.
-    pub fn scheduler(&self) -> Scheduler {
-        self.scheduler
     }
 
     /// The mounted result cache, if any.
@@ -493,6 +475,13 @@ impl FleetRunner {
         let before = sink.map(Telemetry::snapshot);
         let records = self.execute(scenarios, |job_index, scenario| {
             let mut tel = sink.map(|s| s.begin_run(job_index as u32));
+            // A simulated job hands its telemetry to the `Run`, whose
+            // `finish` records the detection latency and absorbs it. (A
+            // mounted cache implies no model.)
+            let simulate = |tel: Option<RunTelemetry>| {
+                let mount = tel.zip(sink.cloned());
+                Arc::new(Run::build(scenario, model, mount).run_to_end().summary())
+            };
             let summary = match cache {
                 Some(cache) => {
                     let key = job_key(scenario);
@@ -507,30 +496,21 @@ impl FleetRunner {
                             if let Some(t) = tel.as_mut() {
                                 t.record(Time::ZERO, TelemetryEvent::CacheMiss);
                             }
-                            let computed = Arc::new(
-                                runner::run_with_model_observed(
-                                    scenario.clone(),
-                                    None,
-                                    tel.as_mut(),
-                                )
-                                .summary(),
-                            );
+                            let computed = simulate(tel.take());
                             cache.insert(key, Arc::clone(&computed));
                             computed
                         }
                     }
                 }
-                None => Arc::new(
-                    runner::run_with_model_observed(scenario.clone(), model, tel.as_mut())
-                        .summary(),
-                ),
+                None => simulate(tel.take()),
             };
             let record = FleetRecord {
                 strategy: scenario.strategy,
                 seed: scenario.seed,
-                injected_at: scenario.events.iter().map(|&(t, _)| t).min(),
+                injected_at: scenario.injected_at(),
                 summary,
             };
+            // A cache hit ran nothing: its telemetry is closed here.
             if let Some(mut t) = tel {
                 if let Some(latency) = record.detection_latency_s() {
                     t.record_detection_latency(latency);
@@ -553,7 +533,7 @@ impl FleetRunner {
     /// the cache is not consulted (traces are not part of a [`Summary`]).
     pub fn capture_traces(&self, scenarios: Vec<Scenario>) -> Vec<SignalTrace> {
         self.execute(scenarios, |_i, scenario| {
-            runner::run(scenario.clone()).signal_trace()
+            Run::new(scenario).run_to_end().signal_trace()
         })
     }
 
@@ -582,13 +562,9 @@ impl FleetRunner {
             }
         }
         let steals = self.telemetry.as_ref().map(Telemetry::steal_counter);
-        executor::run_counted(
-            scenarios.len(),
-            workers,
-            self.scheduler,
-            steals,
-            |i, _worker| job(i, &scenarios[i]),
-        )
+        executor::run_counted(scenarios.len(), workers, steals, |i, _worker| {
+            job(i, &scenarios[i])
+        })
     }
 }
 
@@ -813,20 +789,6 @@ mod tests {
             .run_scenarios(short_jobs());
         assert_eq!(one.records, four.records);
         assert_eq!(one.stats, four.stats);
-    }
-
-    #[test]
-    fn scheduler_does_not_change_results() {
-        let steal = FleetRunner::new(99)
-            .with_threads(3)
-            .with_scheduler(Scheduler::WorkSteal)
-            .run_scenarios(short_jobs());
-        let static_chunk = FleetRunner::new(99)
-            .with_threads(3)
-            .with_scheduler(Scheduler::StaticChunk)
-            .run_scenarios(short_jobs());
-        assert_eq!(steal.records, static_chunk.records);
-        assert_eq!(steal.stats, static_chunk.stats);
     }
 
     #[test]

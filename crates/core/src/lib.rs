@@ -21,8 +21,9 @@
 //! * [`vehicle`] — the full vehicle: hardware platform, CAN, RTE, monitors,
 //!   ability graph, mode policy and the coordinator wired into one machine,
 //!   with each layer's concrete containment actions.
-//! * [`runner`] — the closed-loop stepping engine that drives one vehicle
-//!   through one scenario.
+//! * [`runner`] — [`runner::Run`], the one steppable handle for every
+//!   scenario kind: the closed-loop stepping engine for one vehicle, and
+//!   the entry point to the platoon and city engines below.
 //! * [`cosim`] — the multi-vehicle co-simulation engine: N vehicles in
 //!   lockstep over a shared road, coupled by a faultable V2V channel and a
 //!   trust-managed platoon negotiation, with peer misbehavior escalating
@@ -40,9 +41,8 @@
 //! * [`cache`] — content-hashed job identity ([`cache::job_key`]) and the
 //!   [`cache::ResultCache`] memo store (in-memory plus optional on-disk),
 //!   so repeated sweeps skip bit-identical re-runs.
-//! * [`executor`] — the shard executor behind the fleet: static chunking
-//!   or work stealing ([`executor::Scheduler`]), both preserving the
-//!   fixed-slot determinism contract.
+//! * [`executor`] — the work-stealing shard executor behind the fleet,
+//!   preserving the fixed-slot determinism contract.
 //! * [`colstore`] — the compact columnar binary results format
 //!   ([`colstore::FleetColumns`]) with direct-from-columns statistics and
 //!   group-by latency queries.
@@ -94,21 +94,10 @@ pub mod scenario;
 pub mod telemetry;
 pub mod vehicle;
 
-/// Backward-compatible façade over the modules the old `assembly` monolith
-/// was split into ([`scenario`], [`vehicle`], [`runner`], [`outcome`]).
-pub mod assembly {
-    pub use crate::outcome::{Outcome, Summary};
-    pub use crate::scenario::{
-        ResponseStrategy, Scenario, ScenarioBuilder, ScenarioEvent, ScenarioFamily,
-    };
-    pub use crate::vehicle::SelfAwareVehicle;
-}
-
 pub use cache::{job_key, CacheStats, JobKey, ResultCache, ENGINE_VERSION};
-pub use city::{run_city, CityRun};
+pub use city::CityRun;
 pub use colstore::{FleetColumns, GroupBy};
 pub use coordinator::{Attempt, Coordinator, EscalationPolicy, ResolutionTrace};
-pub use executor::Scheduler;
 pub use fleet::{
     FleetCoordinator, FleetDirective, FleetOutcome, FleetRecord, FleetRunner, FleetStats,
 };
@@ -116,6 +105,7 @@ pub use layer::{Containment, Directive, DirectiveBoard, Layer, Posting, Problem,
 pub use outcome::{
     CityOutcome, CitySummary, Outcome, PlatoonOutcome, PlatoonSummary, Summary, LEARNED_SIGNALS,
 };
+pub use runner::Run;
 pub use scenario::{
     CitySpec, PeerLie, PlatoonSpec, ResponseStrategy, Scenario, ScenarioBuilder, ScenarioEvent,
     ScenarioFamily, ScenarioState,

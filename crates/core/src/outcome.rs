@@ -182,8 +182,8 @@ impl PlatoonOutcome {
     }
 }
 
-/// Tier statistics of one city-scale co-simulation run — what
-/// [`crate::city::run_city`] records on top of the lead focal vehicle's
+/// Tier statistics of one city-scale co-simulation run — what the city
+/// engine ([`crate::city`]) records on top of the lead focal vehicle's
 /// [`Outcome`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CityOutcome {

@@ -1,7 +1,8 @@
-//! The scenario runner: steps a [`SelfAwareVehicle`] through a
-//! [`Scenario`]'s timeline and records the [`Outcome`].
+//! The scenario runner: [`Run`] steps a [`Scenario`] — one
+//! [`SelfAwareVehicle`], a platoon or a city chain — through its timeline
+//! and records the [`Outcome`].
 //!
-//! One run is a fixed-step closed loop: scripted events pop from the
+//! One vehicle's run is a fixed-step closed loop: scripted events pop from the
 //! deterministic [`crate::scenario::ScenarioState`] queue, the platform /
 //! execution / plant / communication layers advance, monitors raise
 //! anomalies, and each anomaly is routed through the layers by
@@ -18,6 +19,8 @@ use saav_sim::time::Time;
 use saav_skills::decision::DrivingMode;
 use saav_vehicle::traffic::LeadVehicle;
 
+use crate::city::CityEngine;
+use crate::cosim::PlatoonEngine;
 use crate::layer::{Containment, Layer};
 use crate::outcome::Outcome;
 use crate::scenario::{Scenario, ScenarioState};
@@ -144,10 +147,11 @@ fn handle_anomaly(
 }
 
 /// One vehicle's in-flight run state: the vehicle, its scenario-injection
-/// state and the per-run recording. The single-vehicle loop drives exactly
-/// one context; the multi-vehicle engine ([`crate::cosim`]) drives N of
-/// them in lockstep — [`RunContext::tick`] is the *only* stepping
-/// implementation, so a solo run is literally the 1-member special case.
+/// state and the per-run recording. A solo [`Run`] drives exactly one
+/// context; the platoon and city engines ([`crate::cosim`],
+/// [`crate::city`]) drive N of them in lockstep — [`RunContext::tick`] is
+/// the *only* stepping implementation, so a solo run is literally the
+/// 1-member special case.
 pub(crate) struct RunContext {
     pub(crate) v: SelfAwareVehicle,
     pub(crate) state: ScenarioState,
@@ -365,159 +369,288 @@ impl RunContext {
     }
 }
 
-/// A single-vehicle run stepped one control period at a time.
+/// Composes the outcomes of several vehicle stacks — a platoon's members
+/// or a city's focal vehicles, leader first — into one [`Outcome`]: the
+/// leader's series and trace, the worst final mode, fleet-worst safety
+/// fields, merged actions and escalation statistics.
 ///
-/// [`run`] is literally `while !done { tick() }` over this handle; it is
-/// exposed so external drivers — allocation pins, benchmarks, custom
-/// co-simulation loops — can observe or interleave with the tick stream
-/// instead of paying for a whole scenario per measurement. Only the
-/// single-vehicle path is steppable; scenarios carrying a platoon or city
-/// spec go through [`run`].
-pub struct SteppedRun {
-    ctx: RunContext,
-    tel: Option<RunTelemetry>,
-    sink: Option<Telemetry>,
-}
+/// `min_gap_m` and `collision` start the safety fold, so a city's
+/// chain-level gap and collision count exactly like a member's (a
+/// platoon starts from `INFINITY` / `false`). `each` sees every member
+/// outcome in order, for the engine's per-member records. With no
+/// members (a pure surrogate city) the series and trace are empty and
+/// `distance_m` is 0; the caller supplies its own.
+pub(crate) fn compose(
+    label: String,
+    members: Vec<RunContext>,
+    min_gap_m: f64,
+    collision: bool,
+    mut each: impl FnMut(&Outcome),
+) -> Outcome {
+    // Resolution statistics merge exactly: resolved / total over all
+    // members' coordinators.
+    let (resolved, total) = members.iter().fold((0usize, 0usize), |(r, t), m| {
+        let traces = m.v.coordinator.traces();
+        (
+            r + traces.iter().filter(|tr| tr.resolved()).count(),
+            t + traces.len(),
+        )
+    });
+    let outcomes: Vec<Outcome> = members.into_iter().map(RunContext::finish).collect();
 
-impl SteppedRun {
-    /// Readies `scenario`'s vehicle without advancing time.
-    ///
-    /// # Panics
-    /// Panics when the scenario carries a
-    /// [`crate::scenario::PlatoonSpec`] or [`crate::scenario::CitySpec`]
-    /// — multi-vehicle engines own their own lockstep loops.
-    pub fn new(scenario: &Scenario) -> Self {
-        assert!(
-            scenario.platoon.is_none() && scenario.city.is_none(),
-            "SteppedRun drives single-vehicle scenarios only"
-        );
-        SteppedRun {
-            ctx: RunContext::new(scenario, None),
-            tel: None,
-            sink: None,
+    let severity = |mode: DrivingMode| match mode {
+        DrivingMode::Normal => 0,
+        DrivingMode::Reduced { .. } => 1,
+        DrivingMode::SafeStop => 2,
+    };
+    let mut actions: Vec<String> = Vec::new();
+    for o in &outcomes {
+        each(o);
+        for a in &o.actions {
+            if !actions.contains(a) {
+                actions.push(a.clone());
+            }
         }
     }
+    let final_mode = outcomes
+        .iter()
+        .map(|o| o.final_mode)
+        .max_by_key(|&m| severity(m))
+        .unwrap_or(DrivingMode::Normal);
+    let distance_m = if outcomes.is_empty() {
+        0.0
+    } else {
+        outcomes.iter().map(|o| o.distance_m).sum::<f64>() / outcomes.len() as f64
+    };
+    let min_gap_m = outcomes
+        .iter()
+        .map(|o| o.min_gap_m)
+        .fold(min_gap_m, f64::min);
+    let min_ttc_s = outcomes
+        .iter()
+        .map(|o| o.min_ttc_s)
+        .fold(f64::INFINITY, f64::min);
+    let collision = collision || outcomes.iter().any(|o| o.collision);
+    let first_detection = outcomes.iter().filter_map(|o| o.first_detection).min();
+    let first_model_deviation = outcomes
+        .iter()
+        .filter_map(|o| o.first_model_deviation)
+        .min();
+    let mitigated_at = outcomes.iter().filter_map(|o| o.mitigated_at).max();
+    let conflicts = outcomes.iter().map(|o| o.conflicts).sum();
+    let max_hops = outcomes.iter().map(|o| o.max_hops).max().unwrap_or(0);
+    let (speed, ability, miss_rate, temp_c, speed_factor, model_score, trace) =
+        match outcomes.into_iter().next() {
+            Some(l) => (
+                l.speed,
+                l.ability,
+                l.miss_rate,
+                l.temp_c,
+                l.speed_factor,
+                l.model_score,
+                l.trace,
+            ),
+            None => Default::default(),
+        };
 
-    /// Like [`SteppedRun::new`] with `sink`'s telemetry mounted: every
-    /// tick records into a per-run ring/registry (allocated here, once),
-    /// folded back into the sink by [`SteppedRun::finish`].
+    Outcome {
+        label,
+        speed,
+        ability,
+        miss_rate,
+        temp_c,
+        speed_factor,
+        model_score,
+        final_mode,
+        min_gap_m,
+        min_ttc_s,
+        collision,
+        distance_m,
+        first_detection,
+        first_model_deviation,
+        mitigated_at,
+        actions,
+        conflicts,
+        max_hops,
+        resolution_rate: (total > 0).then(|| resolved as f64 / total as f64),
+        trace,
+        platoon: None,
+        city: None,
+    }
+}
+
+/// The engine behind a [`Run`]: one vehicle stack, a platoon in
+/// lockstep, or a tiered city chain (boxed: the three differ in size by
+/// kilobytes, and a `Run` is built once per scenario).
+enum Engine {
+    Solo(Box<RunContext>),
+    Platoon(Box<PlatoonEngine>),
+    City(Box<CityEngine>),
+}
+
+/// A scenario run, stepped one control period (10 ms) at a time — the one
+/// way to run a scenario. The engine follows the scenario: a
+/// [`crate::scenario::CitySpec`] selects the city-scale tiered-fidelity
+/// engine ([`crate::city`]), which may step on several intra-run threads
+/// ([`crate::scenario::CitySpec::threads`]) with a bit-identical outcome
+/// at any width; a [`crate::scenario::PlatoonSpec`] selects the platoon
+/// co-simulation ([`crate::cosim`]); anything else drives one vehicle.
+///
+/// [`run`] is `while !done { tick() }` over this handle. Stepping it
+/// directly lets external drivers — allocation pins, benchmarks, custom
+/// co-simulation loops — observe or interleave with the tick stream.
+///
+/// With a [`Telemetry`] sink mounted, every tick records into a per-run
+/// ring and registry (allocated once, at construction), and
+/// [`Run::finish`] folds them into the sink together with the run's
+/// detection latency. The simulated [`Outcome`] is bit-identical mounted
+/// or not — telemetry observes, never perturbs.
+pub struct Run {
+    engine: Engine,
+    /// When the scenario's first scripted disturbance fires, if any: the
+    /// origin of the recorded detection latency.
+    injected_at: Option<Time>,
+    mount: Option<(RunTelemetry, Telemetry)>,
+}
+
+impl Run {
+    /// Readies `scenario` without advancing time.
     ///
     /// # Panics
-    /// Panics like [`SteppedRun::new`] on a multi-vehicle scenario.
+    /// Panics on a malformed [`crate::scenario::PlatoonSpec`] — zero
+    /// members, a zero negotiation period, or a liar/link index beyond
+    /// the member count — or a malformed [`crate::scenario::CitySpec`]
+    /// (an empty chain or a non-positive initial gap).
+    pub fn new(scenario: &Scenario) -> Self {
+        Run::build(scenario, None, None)
+    }
+
+    /// Like [`Run::new`] with `sink`'s telemetry mounted.
+    ///
+    /// # Panics
+    /// Panics like [`Run::new`] on a malformed multi-vehicle spec.
     pub fn with_telemetry(scenario: &Scenario, sink: &Telemetry) -> Self {
-        let mut run = SteppedRun::new(scenario);
-        run.tel = Some(sink.begin_run(0));
-        run.sink = Some(sink.clone());
-        run
+        Run::mounted(scenario, None, Some(sink))
+    }
+
+    /// Like [`Run::new`], optionally mounting a learned self-awareness
+    /// monitor beside the hand-written ones on every vehicle stack (every
+    /// member of a platoon, every focal vehicle of a city) and a
+    /// telemetry sink. The online scorer ingests the 1 Hz signal vector
+    /// and its threshold crossings escalate like any other anomaly.
+    ///
+    /// # Panics
+    /// Panics like [`Run::new`] on a malformed multi-vehicle spec.
+    pub fn mounted(
+        scenario: &Scenario,
+        model: Option<&SelfAwarenessModel>,
+        sink: Option<&Telemetry>,
+    ) -> Self {
+        Run::build(scenario, model, sink.map(|s| (s.begin_run(0), s.clone())))
+    }
+
+    /// The shared constructor; the fleet runner hands in its job's
+    /// telemetry (opened for the job's slot) directly.
+    pub(crate) fn build(
+        scenario: &Scenario,
+        model: Option<&SelfAwarenessModel>,
+        mount: Option<(RunTelemetry, Telemetry)>,
+    ) -> Self {
+        let engine = if scenario.city.is_some() {
+            Engine::City(Box::new(CityEngine::new(scenario, model)))
+        } else if scenario.platoon.is_some() {
+            Engine::Platoon(Box::new(PlatoonEngine::new(scenario, model)))
+        } else {
+            Engine::Solo(Box::new(RunContext::new(scenario, model)))
+        };
+        Run {
+            engine,
+            injected_at: scenario.injected_at(),
+            mount,
+        }
     }
 
     /// Whether the scenario's time horizon has been reached.
     pub fn done(&self) -> bool {
-        self.ctx.done()
+        match &self.engine {
+            Engine::Solo(ctx) => ctx.done(),
+            Engine::Platoon(p) => p.done(),
+            Engine::City(c) => c.done(),
+        }
     }
 
-    /// Advances the vehicle by one control period (10 ms).
+    /// Advances the run by one control period (10 ms).
     pub fn tick(&mut self) {
-        self.ctx.tick(self.tel.as_mut());
+        let tel = self.mount.as_mut().map(|(tel, _)| tel);
+        match &mut self.engine {
+            Engine::Solo(ctx) => ctx.tick(tel),
+            Engine::Platoon(p) => p.tick(tel),
+            Engine::City(c) => c.tick(tel),
+        }
     }
 
-    /// Simulated time since run start, in milliseconds. Recording and
-    /// learned-monitor scoring fire on whole-second instants; allocation
-    /// pins use this to place their measurement window between them.
+    /// Simulated time since run start, in milliseconds. Recording,
+    /// learned-monitor scoring and city tier re-evaluation fire on
+    /// whole-second instants; allocation pins use this to place their
+    /// measurement window between them.
     pub fn now_millis(&self) -> u64 {
-        self.ctx.v.now.as_millis()
+        match &self.engine {
+            Engine::Solo(ctx) => ctx.v.now,
+            Engine::Platoon(p) => p.now(),
+            Engine::City(c) => c.now(),
+        }
+        .as_millis()
     }
 
-    /// Closes the run and returns its measured [`Outcome`], absorbing any
-    /// mounted telemetry into its sink.
+    /// Closes the run and returns its measured [`Outcome`]. A mounted
+    /// sink receives the run's telemetry, including the detection latency
+    /// (first detection relative to the first scripted disturbance, like
+    /// [`crate::fleet::FleetRecord::detection_latency_s`]).
     pub fn finish(self) -> Outcome {
-        let out = self.ctx.finish();
-        if let (Some(mut tel), Some(sink)) = (self.tel, self.sink) {
-            record_outcome_latency(&mut tel, &out);
+        let mut mount = self.mount;
+        let out = match self.engine {
+            Engine::Solo(ctx) => ctx.finish(),
+            Engine::Platoon(p) => p.finish(mount.as_mut().map(|(tel, _)| tel)),
+            Engine::City(c) => c.finish(),
+        };
+        if let Some((mut tel, sink)) = mount {
+            if let Some(latency) = latency_s(self.injected_at, out.first_detection) {
+                tel.record_detection_latency(latency);
+            }
             sink.absorb(tel);
         }
         out
     }
-}
 
-/// Folds an outcome's detection latency (scenario start → first
-/// detection) into the run's histogram.
-pub(crate) fn record_outcome_latency(tel: &mut RunTelemetry, out: &Outcome) {
-    if let Some(t) = out.first_detection {
-        tel.record_detection_latency(t.as_secs_f64());
+    /// Ticks to the scenario's horizon, then [`Run::finish`]es.
+    pub fn run_to_end(mut self) -> Outcome {
+        while !self.done() {
+            self.tick();
+        }
+        self.finish()
     }
 }
+
+/// Seconds from the first scripted disturbance (run start when there is
+/// none) to `detected` — the one definition of detection latency, shared
+/// by the telemetry histogram and the fleet statistics.
+pub(crate) fn latency_s(injected_at: Option<Time>, detected: Option<Time>) -> Option<f64> {
+    detected.map(|det| {
+        det.saturating_since(injected_at.unwrap_or(Time::ZERO))
+            .as_secs_f64()
+    })
+}
+
+/// A single-vehicle run stepped one control period at a time: an alias
+/// of [`Run`], which now steps every scenario kind.
+pub type SteppedRun = Run;
 
 /// Runs a scenario to completion with the hand-written monitors only.
 ///
 /// # Panics
-/// Panics like [`run_with_model`] on a malformed
-/// [`crate::scenario::PlatoonSpec`].
+/// Panics like [`Run::new`] on a malformed multi-vehicle spec.
 pub fn run(scenario: Scenario) -> Outcome {
-    run_with_model(scenario, None)
-}
-
-/// Runs a scenario to completion, optionally with a learned
-/// self-awareness monitor mounted beside the hand-written ones. With
-/// `None` this is exactly [`run`]; with a model, the online scorer ingests
-/// the 1 Hz signal vector and threshold crossings escalate like any other
-/// anomaly.
-///
-/// A scenario carrying a [`crate::scenario::CitySpec`] is handed to the
-/// city-scale tiered-fidelity engine ([`crate::city::run_city`]), which
-/// may step the run on several intra-run threads
-/// ([`crate::scenario::CitySpec::threads`]) — the outcome is
-/// bit-identical at any width. One carrying a
-/// [`crate::scenario::PlatoonSpec`] goes to the platoon co-simulation
-/// engine ([`crate::cosim::run_platoon`]). The model, if any, is mounted
-/// on every member (every focal vehicle, for a city).
-///
-/// # Panics
-/// Panics on a malformed [`crate::scenario::PlatoonSpec`] — zero members,
-/// a zero negotiation period, or a liar/link index beyond the member
-/// count (see [`crate::cosim::run_platoon`]) — or a malformed
-/// [`crate::scenario::CitySpec`] (see [`crate::city::run_city`]).
-pub fn run_with_model(scenario: Scenario, model: Option<&SelfAwarenessModel>) -> Outcome {
-    run_with_model_observed(scenario, model, None)
-}
-
-/// Runs a scenario to completion with `sink`'s telemetry mounted: the
-/// run's escalation trace, registry counters and stage profile are folded
-/// into the sink. The measured [`Outcome`] is bit-identical to
-/// [`run_with_model`]'s — telemetry observes, never perturbs.
-///
-/// # Panics
-/// Panics like [`run_with_model`] on a malformed multi-vehicle spec.
-pub fn run_observed(
-    scenario: Scenario,
-    model: Option<&SelfAwarenessModel>,
-    sink: &Telemetry,
-) -> Outcome {
-    let mut tel = sink.begin_run(0);
-    let out = run_with_model_observed(scenario, model, Some(&mut tel));
-    record_outcome_latency(&mut tel, &out);
-    sink.absorb(tel);
-    out
-}
-
-/// The shared implementation behind [`run_with_model`] (unmounted) and
-/// [`run_observed`] / the fleet runner (mounted).
-pub(crate) fn run_with_model_observed(
-    scenario: Scenario,
-    model: Option<&SelfAwarenessModel>,
-    mut tel: Option<&mut RunTelemetry>,
-) -> Outcome {
-    if scenario.city.is_some() {
-        return crate::city::run_city_observed(scenario, model, tel);
-    }
-    if scenario.platoon.is_some() {
-        return crate::cosim::run_platoon_observed(scenario, model, tel);
-    }
-    let mut ctx = RunContext::new(&scenario, model);
-    while !ctx.done() {
-        ctx.tick(tel.as_deref_mut());
-    }
-    ctx.finish()
+    Run::new(&scenario).run_to_end()
 }
 
 #[cfg(test)]
@@ -527,7 +660,7 @@ mod tests {
 
     #[test]
     fn baseline_runs_clean() {
-        let out = SelfAwareVehicle::run(Scenario::baseline(42));
+        let out = run(Scenario::baseline(42));
         assert!(!out.collision);
         assert!(out.distance_m > 2_000.0, "distance {}", out.distance_m);
         assert!(matches!(out.final_mode, DrivingMode::Normal));
@@ -536,7 +669,7 @@ mod tests {
 
     #[test]
     fn intrusion_cross_layer_keeps_driving_capped() {
-        let out = SelfAwareVehicle::run(Scenario::intrusion(ResponseStrategy::CrossLayer, 42));
+        let out = run(Scenario::intrusion(ResponseStrategy::CrossLayer, 42));
         assert!(!out.collision, "min gap {}", out.min_gap_m);
         assert!(out.first_detection.is_some(), "attack must be detected");
         assert!(out.mitigated_at.is_some());
@@ -559,7 +692,7 @@ mod tests {
 
     #[test]
     fn intrusion_objective_stop_halts_vehicle() {
-        let out = SelfAwareVehicle::run(Scenario::intrusion(ResponseStrategy::ObjectiveStop, 42));
+        let out = run(Scenario::intrusion(ResponseStrategy::ObjectiveStop, 42));
         assert!(!out.collision);
         let final_speed = out.speed.last().unwrap();
         assert!(final_speed < 0.5, "should be stopped, at {final_speed}");
@@ -568,8 +701,8 @@ mod tests {
 
     #[test]
     fn intrusion_single_layer_preserves_speed_but_less_margin() {
-        let cross = SelfAwareVehicle::run(Scenario::intrusion(ResponseStrategy::CrossLayer, 42));
-        let single = SelfAwareVehicle::run(Scenario::intrusion(ResponseStrategy::SingleLayer, 42));
+        let cross = run(Scenario::intrusion(ResponseStrategy::CrossLayer, 42));
+        let single = run(Scenario::intrusion(ResponseStrategy::SingleLayer, 42));
         // Single-layer never caps speed, so it drives further …
         assert!(single.distance_m > cross.distance_m);
         // … but with a worse worst-case safety margin during the lead's
@@ -584,7 +717,7 @@ mod tests {
 
     #[test]
     fn thermal_cross_layer_recovers_deadlines() {
-        let out = SelfAwareVehicle::run(Scenario::thermal(75.0, ResponseStrategy::CrossLayer, 7));
+        let out = run(Scenario::thermal(75.0, ResponseStrategy::CrossLayer, 7));
         // Misses appear mid-run, then the reconfiguration clears them.
         let peak = out.miss_rate.max().unwrap();
         let tail = out
@@ -601,7 +734,7 @@ mod tests {
     #[test]
     fn propagation_bounded_in_all_scenarios() {
         for strategy in ResponseStrategy::ALL {
-            let out = SelfAwareVehicle::run(Scenario::intrusion(strategy, 3));
+            let out = run(Scenario::intrusion(strategy, 3));
             assert!(out.max_hops <= Layer::ALL.len(), "{strategy:?}");
         }
     }
@@ -609,9 +742,7 @@ mod tests {
     #[test]
     fn composed_fog_intrusion_scenario_runs() {
         use crate::scenario::{ScenarioEvent, ScenarioFamily};
-        let out = SelfAwareVehicle::run(
-            ScenarioFamily::FogIntrusion.build(ResponseStrategy::CrossLayer, 5),
-        );
+        let out = run(ScenarioFamily::FogIntrusion.build(ResponseStrategy::CrossLayer, 5));
         assert!(out.first_detection.is_some());
         assert!(!out.actions.is_empty());
         // The DSL composes the same events the family declares.
@@ -629,9 +760,7 @@ mod tests {
     #[test]
     fn radar_dropout_is_detected_and_contained() {
         use crate::scenario::ScenarioFamily;
-        let out = SelfAwareVehicle::run(
-            ScenarioFamily::RadarDropout.build(ResponseStrategy::CrossLayer, 3),
-        );
+        let out = run(ScenarioFamily::RadarDropout.build(ResponseStrategy::CrossLayer, 3));
         assert!(out.first_detection.is_some(), "dropout must be detected");
         assert!(!out.collision);
     }

@@ -114,8 +114,8 @@ pub struct PeerLie {
 }
 
 /// Multi-vehicle configuration of a scenario: when present, the runner
-/// hands the scenario to the co-simulation engine
-/// ([`crate::cosim::run_platoon`]) instead of the single-vehicle loop.
+/// hands the scenario to the co-simulation engine ([`crate::cosim`])
+/// instead of the single-vehicle loop.
 ///
 /// All members share the scripted environment ([`ScenarioEvent`]s apply to
 /// every vehicle); member-specific deceptions and V2V link faults are
@@ -201,8 +201,8 @@ impl PlatoonSpec {
 }
 
 /// City-scale tiered-fidelity configuration of a scenario: when present,
-/// the runner hands the scenario to [`crate::city::run_city`] instead of
-/// the single-vehicle loop or the platoon engine.
+/// the runner hands the scenario to the city engine ([`crate::city`])
+/// instead of the single-vehicle loop or the platoon engine.
 ///
 /// The scene is one single-lane chain of `background + focal` vehicles.
 /// Background vehicles live in the struct-of-arrays
@@ -342,6 +342,12 @@ impl Scenario {
         ScenarioBuilder::new(label)
     }
 
+    /// When the first scripted disturbance fires, if any — the origin
+    /// detection latency is measured from.
+    pub(crate) fn injected_at(&self) -> Option<Time> {
+        self.events.iter().map(|&(t, _)| t).min()
+    }
+
     /// A 120 s highway following scenario with no disturbances.
     pub fn baseline(seed: u64) -> Self {
         Scenario::builder("baseline").seed(seed).build()
@@ -361,7 +367,7 @@ impl Scenario {
     }
 
     /// The thermal scenario: ambient ramps from 25 °C to the target over
-    /// 60 s starting immediately.
+    /// 60 s, starting at t = 10 s.
     pub fn thermal(to_c: f64, strategy: ResponseStrategy, seed: u64) -> Self {
         Scenario::builder(format!("thermal/{strategy:?}"))
             .strategy(strategy)

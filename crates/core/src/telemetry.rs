@@ -790,7 +790,7 @@ struct TelemetryInner {
 /// The mountable telemetry sink: cheaply cloneable (an [`Arc`] share,
 /// like [`crate::cache::ResultCache`]), mounted on a
 /// [`crate::fleet::FleetRunner`] via `with_telemetry` or threaded through
-/// a solo run via [`crate::runner::run_observed`]. All reads are
+/// any single run via [`crate::runner::Run::with_telemetry`]. All reads are
 /// cumulative over everything absorbed since construction.
 #[derive(Clone)]
 pub struct Telemetry {

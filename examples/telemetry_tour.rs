@@ -11,7 +11,7 @@
 //! Run with: `cargo run --example telemetry_tour`
 
 use saav::core::csv::telemetry_csv;
-use saav::core::runner;
+use saav::core::runner::Run;
 use saav::core::scenario::{ResponseStrategy, ScenarioFamily};
 use saav::core::telemetry::{Counter, Stage, Telemetry};
 
@@ -23,7 +23,7 @@ fn main() {
     );
 
     let sink = Telemetry::default();
-    let out = runner::run_observed(scenario, None, &sink);
+    let out = Run::with_telemetry(&scenario, &sink).run_to_end();
 
     println!("\n-- escalation trace (virtual time, canonical order) --");
     for rec in sink.events() {

@@ -22,13 +22,10 @@
 //! ## Quick start
 //!
 //! ```
-//! use saav::core::{ResponseStrategy, Scenario, SelfAwareVehicle};
+//! use saav::core::{runner, ResponseStrategy, Scenario};
 //!
 //! // Run the paper's intrusion scenario with cross-layer self-awareness.
-//! let outcome = SelfAwareVehicle::run(Scenario::intrusion(
-//!     ResponseStrategy::CrossLayer,
-//!     42,
-//! ));
+//! let outcome = runner::run(Scenario::intrusion(ResponseStrategy::CrossLayer, 42));
 //! assert!(!outcome.collision);
 //! assert!(outcome.first_detection.is_some());
 //! ```

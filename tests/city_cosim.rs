@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 
 use saav::core::fleet::FleetRunner;
-use saav::core::runner;
+use saav::core::runner::{self, Run};
 use saav::core::scenario::{CitySpec, ResponseStrategy, Scenario, ScenarioEvent, ScenarioFamily};
 use saav::core::telemetry::{Counter, Telemetry};
 use saav::sim::time::{Duration, Time};
@@ -104,7 +104,7 @@ fn mounted_city_traces_are_invariant_to_intra_run_parallelism() {
                     .with_surrogate_chunk(chunk),
             )
             .build();
-        runner::run_observed(s, None, &sink);
+        Run::with_telemetry(&s, &sink).run_to_end();
         let mut snap = sink.snapshot();
         snap.counters[Counter::ShardSteals as usize] = 0;
         snap.counters[Counter::TickBarriers as usize] = 0;

@@ -1,11 +1,13 @@
 //! End-to-end invariants of the multi-vehicle co-simulation: lockstep
 //! physics on the shared road, V2V-coupled negotiation, trust-based
-//! ejection through the standard escalation path, and determinism.
+//! ejection through the standard escalation path, determinism, and
+//! stepping a platoon one control period at a time.
 
 use saav::can::v2v::LinkFault;
 use saav::core::fleet::FleetRunner;
 use saav::core::scenario::{PlatoonSpec, ResponseStrategy, Scenario, ScenarioFamily};
-use saav::core::{runner, SelfAwareVehicle};
+use saav::core::telemetry::{Counter, Telemetry};
+use saav::core::{runner, Run};
 use saav::sim::time::Duration;
 
 fn liar_low(seed: u64) -> Scenario {
@@ -16,7 +18,7 @@ fn liar_low(seed: u64) -> Scenario {
 fn no_platoon_family_ever_collides() {
     for family in ScenarioFamily::PLATOON {
         for strategy in ResponseStrategy::ALL {
-            let out = SelfAwareVehicle::run(family.build(strategy, 42));
+            let out = runner::run(family.build(strategy, 42));
             let p = out.platoon.as_ref().expect("platoon outcome");
             assert!(!out.collision, "{family}/{strategy:?}");
             assert_eq!(
@@ -166,5 +168,27 @@ fn platoon_fleet_records_thread_cooperative_summaries() {
         assert_eq!(p.members, 5);
         assert_eq!(p.ejected, vec![2]);
         assert!(rec.ejection_latency_s().is_some());
+    }
+}
+
+#[test]
+fn platoon_steps_one_control_period_per_tick() {
+    let mut scenario = ScenarioFamily::PlatoonLossyV2v.build(ResponseStrategy::CrossLayer, 4);
+    scenario.duration = Duration::from_secs(20);
+    let sink = Telemetry::default();
+    let mut run = Run::with_telemetry(&scenario, &sink);
+    let mut ticks = 0;
+    while !run.done() {
+        let before = run.now_millis();
+        run.tick();
+        ticks += 1;
+        assert_eq!(run.now_millis(), before + 10, "tick {ticks}");
+    }
+    assert_eq!(ticks, 2_000);
+    let stepped = run.finish();
+    assert_eq!(stepped.summary(), runner::run(scenario).summary());
+    let snap = sink.snapshot();
+    for counter in [Counter::V2vSent, Counter::V2vDropped, Counter::V2vDelayed] {
+        assert!(snap.counter(counter) > 0, "{counter:?} stayed at zero");
     }
 }

@@ -5,9 +5,10 @@
 
 use saav::core::cache::ResultCache;
 use saav::core::fleet::FleetRunner;
-use saav::core::runner::{self, SteppedRun};
+use saav::core::runner::{self, Run};
 use saav::core::scenario::{ResponseStrategy, Scenario, ScenarioEvent, ScenarioFamily};
 use saav::core::telemetry::{Counter, Telemetry, TelemetryEvent};
+use saav::sim::rng::derive_seed;
 use saav::sim::time::{Duration, Time};
 
 fn intrusion_jobs() -> Vec<Scenario> {
@@ -56,23 +57,36 @@ fn mounted_trace_is_identical_across_thread_counts() {
 
 /// A stepped run with a sink mounted streams the scripted escalation into
 /// it — and produces the same outcome as the unmounted convenience entry
-/// point.
+/// point. Its detection-latency histogram means what the fleet's does:
+/// first detection relative to the first scripted disturbance.
 #[test]
 fn stepped_run_with_telemetry_sees_the_escalation() {
-    let scenario = ScenarioFamily::Intrusion.build(ResponseStrategy::CrossLayer, 5);
+    let master_seed = 5;
+    // The seed a 1-job fleet batch gives its only job.
+    let scenario =
+        ScenarioFamily::Intrusion.build(ResponseStrategy::CrossLayer, derive_seed(master_seed, 0));
     let sink = Telemetry::default();
-    let mut run = SteppedRun::with_telemetry(&scenario, &sink);
+    let mut run = Run::with_telemetry(&scenario, &sink);
     while run.now_millis() < scenario.duration.as_millis() {
         run.tick();
     }
     let observed = run.finish();
-    assert_eq!(observed.summary(), runner::run(scenario).summary());
+    assert_eq!(observed.summary(), runner::run(scenario.clone()).summary());
     let snap = sink.snapshot();
     assert!(snap.counter(Counter::AnomaliesRaised) > 0);
     assert!(snap.counter(Counter::EscalationsRouted) > 0);
     assert!(
         snap.detection_latency.total() > 0,
         "latency histogram empty"
+    );
+    let fleet_sink = Telemetry::default();
+    FleetRunner::new(master_seed)
+        .with_telemetry(fleet_sink.clone())
+        .run_scenarios(vec![scenario]);
+    assert_eq!(
+        snap.detection_latency.counts(),
+        fleet_sink.snapshot().detection_latency.counts(),
+        "stepped and fleet runs file the same detection under different latencies"
     );
     assert!(sink
         .events()
@@ -99,11 +113,11 @@ fn single_worker_fleet_counts_no_steals() {
 #[test]
 fn chrome_trace_export_is_well_formed_json() {
     let sink = Telemetry::default();
-    runner::run_observed(
-        ScenarioFamily::Intrusion.build(ResponseStrategy::CrossLayer, 5),
-        None,
+    Run::with_telemetry(
+        &ScenarioFamily::Intrusion.build(ResponseStrategy::CrossLayer, 5),
         &sink,
-    );
+    )
+    .run_to_end();
     let json = sink.chrome_trace_json();
     let mut p = Json {
         b: json.as_bytes(),

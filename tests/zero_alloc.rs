@@ -7,15 +7,20 @@
 //! between the 1 Hz recording instants and asserts the count is zero.
 //! Any future `clone()`, `format!()` or `Vec` growth snuck into a tick
 //! path fails these tests rather than silently costing 100 Hz × fleet.
+//!
+//! The counter is process-global, so the binary has no test harness
+//! (`harness = false` in the root manifest): libtest's own threads
+//! allocate while a counting window is open. A plain `main` runs the
+//! pins one after another on one thread, and the only other threads
+//! alive in a window are the ones the pin itself starts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use saav::core::cache::ResultCache;
-use saav::core::city::CityRun;
 use saav::core::fleet::FleetRunner;
-use saav::core::runner::SteppedRun;
+use saav::core::runner::Run;
 use saav::core::scenario::{CitySpec, ResponseStrategy, Scenario, ScenarioFamily};
 use saav::core::telemetry::{Stage, Telemetry};
 use saav::sim::time::Duration;
@@ -58,15 +63,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Serializes the tests in this binary: the counter is process-global, so
-/// another test's setup allocating mid-window would register as a false
-/// positive. Each test holds the gate for its whole body.
-static GATE: Mutex<()> = Mutex::new(());
-
-fn gate() -> std::sync::MutexGuard<'static, ()> {
-    GATE.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// Runs `f` with allocation counting on and returns how many heap
 /// allocations it performed.
 fn count_allocs(f: impl FnOnce()) -> u64 {
@@ -84,12 +80,10 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
 /// plumbing (the `Option<&mut RunTelemetry>` threading) at zero cost.
 /// The window deliberately dodges the whole-second instants, where the
 /// 1 Hz series push is *allowed* to grow its buffers.
-#[test]
 fn nominal_tick_path_is_allocation_free() {
-    let _g = gate();
     let mut scenario = ScenarioFamily::Baseline.build(ResponseStrategy::CrossLayer, 42);
     scenario.duration = Duration::from_secs(30);
-    let mut sim = SteppedRun::new(&scenario);
+    let mut sim = Run::new(&scenario);
     // Warm up through two whole-second instants so every ring buffer,
     // queue and series has reached steady-state capacity.
     while sim.now_millis() < 2_000 {
@@ -113,13 +107,11 @@ fn nominal_tick_path_is_allocation_free() {
 /// and the virtual-time profiler charges constants instead of reading
 /// clocks — so the steady-state tick is allocation-free with telemetry
 /// on, not just off.
-#[test]
 fn mounted_telemetry_tick_is_allocation_free() {
-    let _g = gate();
     let mut scenario = ScenarioFamily::Baseline.build(ResponseStrategy::CrossLayer, 42);
     scenario.duration = Duration::from_secs(30);
     let sink = Telemetry::default();
-    let mut sim = SteppedRun::with_telemetry(&scenario, &sink);
+    let mut sim = Run::with_telemetry(&scenario, &sink);
     while sim.now_millis() < 2_000 {
         sim.tick();
     }
@@ -146,9 +138,7 @@ fn mounted_telemetry_tick_is_allocation_free() {
 /// buffers) that does not grow with the job count. Pinned by exact
 /// equality between a 6-job and a 24-job warm sweep on the inline
 /// single-thread path, and by a tight bound on the work-stealing path.
-#[test]
 fn warm_cache_sweep_allocations_are_independent_of_job_count() {
-    let _g = gate();
     // Index i in both batch sizes maps to the same scenario, so the
     // 24-job batch's first 6 jobs are identical to the 6-job batch
     // (seeds derive from the index) and one cache serves both.
@@ -232,11 +222,9 @@ fn city_scenario(threads: usize, chunk: usize) -> Scenario {
 /// telemetry sink mounted. The window dodges the whole-second instants,
 /// where promotion/demotion and the 1 Hz series pushes are *allowed* to
 /// allocate.
-#[test]
 fn city_tick_path_is_allocation_free_single_thread() {
-    let _g = gate();
     let scenario = city_scenario(1, 1_024);
-    let mut sim = CityRun::new(&scenario);
+    let mut sim = Run::new(&scenario);
     while sim.now_millis() < 2_000 {
         sim.tick();
     }
@@ -252,7 +240,7 @@ fn city_tick_path_is_allocation_free_single_thread() {
     );
 
     let sink = Telemetry::default();
-    let mut sim = CityRun::with_telemetry(&scenario, &sink);
+    let mut sim = Run::with_telemetry(&scenario, &sink);
     while sim.now_millis() < 2_000 {
         sim.tick();
     }
@@ -278,14 +266,12 @@ fn city_tick_path_is_allocation_free_single_thread() {
 /// dispatch, scratch absorption — stays off the heap on every thread
 /// (the counting allocator is process-global, so worker allocations
 /// would be caught here too).
-#[test]
 fn parallel_city_tick_path_is_allocation_free() {
-    let _g = gate();
     // Chunk 16 over 42 lanes gives three chunks, so the chunked passes
     // genuinely engage; 2 focal vehicles give two clusters.
     let scenario = city_scenario(2, 16);
     let sink = Telemetry::default();
-    let mut sim = CityRun::with_telemetry(&scenario, &sink);
+    let mut sim = Run::with_telemetry(&scenario, &sink);
     while sim.now_millis() < 2_000 {
         sim.tick();
     }
@@ -304,9 +290,7 @@ fn parallel_city_tick_path_is_allocation_free() {
 /// The surrogate-tier batch update is allocation-free from the very
 /// first step: the struct-of-arrays lanes are sized at construction and
 /// the three passes touch nothing but them.
-#[test]
 fn surrogate_store_step_is_allocation_free() {
-    let _g = gate();
     let mut store = SurrogateTraffic::new(IdmParams::default());
     for i in 0..1_000 {
         store.push_vehicle(-30.0 * i as f64, 22.0);
@@ -322,4 +306,88 @@ fn surrogate_store_step_is_allocation_free() {
         "surrogate step allocated {allocs} times in 1,000 batch ticks"
     );
     assert!(!store.collision(), "warm chain must stay collision-free");
+}
+
+/// The pins, in the order they run.
+const PINS: [(&str, fn()); 6] = [
+    (
+        "nominal_tick_path_is_allocation_free",
+        nominal_tick_path_is_allocation_free,
+    ),
+    (
+        "mounted_telemetry_tick_is_allocation_free",
+        mounted_telemetry_tick_is_allocation_free,
+    ),
+    (
+        "warm_cache_sweep_allocations_are_independent_of_job_count",
+        warm_cache_sweep_allocations_are_independent_of_job_count,
+    ),
+    (
+        "city_tick_path_is_allocation_free_single_thread",
+        city_tick_path_is_allocation_free_single_thread,
+    ),
+    (
+        "parallel_city_tick_path_is_allocation_free",
+        parallel_city_tick_path_is_allocation_free,
+    ),
+    (
+        "surrogate_store_step_is_allocation_free",
+        surrogate_store_step_is_allocation_free,
+    ),
+];
+
+/// Runs every pin whose name contains the first free argument (all of
+/// them without one), reporting in libtest's line format; `--list`
+/// lists them instead. Exits nonzero when a pin fails.
+fn main() {
+    let mut filter: Option<String> = None;
+    let mut list = false;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--list" => list = true,
+            // libtest options that take a value: skip the value too.
+            "--test-threads" | "--format" | "--color" | "--skip" | "--logfile" | "-Z" => {
+                args.next();
+            }
+            a if a.starts_with('-') => {}
+            a => filter = filter.or(Some(a.to_owned())),
+        }
+    }
+    let selected: Vec<_> = PINS
+        .iter()
+        .filter(|(name, _)| filter.as_deref().is_none_or(|f| name.contains(f)))
+        .collect();
+    if list {
+        for (name, _) in &selected {
+            println!("{name}: test");
+        }
+        println!("\n{} tests, 0 benchmarks", selected.len());
+        return;
+    }
+    println!("\nrunning {} tests", selected.len());
+    let mut failed = Vec::new();
+    for &&(name, pin) in &selected {
+        let ok = catch_unwind(AssertUnwindSafe(pin)).is_ok();
+        println!("test {name} ... {}", if ok { "ok" } else { "FAILED" });
+        if !ok {
+            failed.push(name);
+        }
+    }
+    if !failed.is_empty() {
+        println!("\nfailures:");
+        for name in &failed {
+            println!("    {name}");
+        }
+    }
+    println!(
+        "\ntest result: {}. {} passed; {} failed; 0 ignored; 0 measured; {} filtered out\n",
+        if failed.is_empty() { "ok" } else { "FAILED" },
+        selected.len() - failed.len(),
+        failed.len(),
+        PINS.len() - selected.len(),
+    );
+    if !failed.is_empty() {
+        std::process::exit(101);
+    }
 }
